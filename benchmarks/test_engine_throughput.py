@@ -22,6 +22,7 @@ import numpy as np
 from repro.engine import make_backend
 from repro.engine.bench import (
     make_workload,
+    run_campaign_bench,
     run_parallel_bench,
     run_throughput_bench,
 )
@@ -93,6 +94,36 @@ def test_engine_throughput(benchmark):
     workload = make_workload(n_stencils=1, settings_per_oc=4)
     be = make_backend("vector", "V100")
     benchmark(be.evaluate_batch, workload)
+
+
+def test_campaign_throughput_per_backend(benchmark):
+    """The end-to-end figure that picks the ``repro profile`` default."""
+    doc = run_campaign_bench()
+    rows = doc["backends"]
+    print_table(
+        f"Campaign throughput ({'+'.join(doc['gpus'])}, "
+        f"{doc['n_measurements']} measurements)",
+        ["backend", "seconds", "measurements/sec", "speedup", "batch p50"],
+        [
+            [kind, row["seconds"], row["measurements_per_sec"],
+             row["speedup_vs_scalar"], row["batch_p50"]]
+            for kind, row in rows.items()
+        ],
+    )
+    default = rows[doc["default"]]
+    # Lockstep tuning merges every OC's frontier: batches are
+    # campaign-sized, not the 1-4-point frontiers of one cell.
+    assert default["batch_p50"] > 4
+    # The default must beat the per-point reference end to end -- the
+    # single-batch figure above cannot show this.
+    assert default["speedup_vs_scalar"] > 1.0
+
+    from repro.optimizations.combos import ALL_OCS
+    from repro.profiling import RandomSearch
+    from repro.stencil import get
+
+    search = RandomSearch(make_backend("vector", "V100"), 5, seed=3)
+    benchmark(search.tune_ocs, get("star2d2r"), 0, ALL_OCS)
 
 
 def test_parallel_worker_sweep(benchmark):

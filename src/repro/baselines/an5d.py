@@ -35,6 +35,8 @@ class AN5DBaseline:
 
     def tune(self, stencil: Stencil, stencil_id: int = -1) -> tuple[OC, ParamSetting, float]:
         """Best configuration of the AN5D strategy for *stencil*."""
+        # The ladder stops at the first rung that runs, so it tunes one
+        # rung at a time rather than all of them in lockstep.
         for name in _STRATEGIES:
             oc = OC.parse(name)
             result, _ = self.search.tune_oc(stencil, stencil_id, oc)

@@ -33,8 +33,8 @@ class OracleBaseline:
     def tune(self, stencil: Stencil, stencil_id: int = -1) -> tuple[OC, ParamSetting, float]:
         """Best configuration over the full OC space."""
         best: tuple[float, OC, ParamSetting] | None = None
-        for oc in ALL_OCS:
-            result, _ = self.search.tune_oc(stencil, stencil_id, oc)
+        tuned = self.search.tune_ocs(stencil, stencil_id, ALL_OCS)
+        for oc, (result, _) in zip(ALL_OCS, tuned):
             if result is None:
                 continue
             if best is None or result.best_time_ms < best[0]:

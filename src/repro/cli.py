@@ -65,9 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="vector",
         choices=("scalar", "vector", "cached", "parallel"),
         help="measurement backend: per-point reference (the oracle), "
-        "NumPy-vectorized batches (default), vectorized with "
+        "NumPy-vectorized batches (default; every OC of a stencil is "
+        "tuned in lockstep, so batches are large enough to beat scalar "
+        "end to end, see BENCH_engine.json), vectorized with "
         "content-keyed memoization, or batches sharded across a process "
-        "pool (equivalent results, much faster than scalar)",
+        "pool (all equivalent results)",
     )
     p.add_argument(
         "--workers",

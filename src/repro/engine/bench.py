@@ -1,20 +1,28 @@
-"""Engine throughput measurement: points/second per backend.
+"""Engine throughput measurement: points/second and campaign measurements/second.
 
-The workload is a representative campaign slice -- random stencils x
-every OC x sampled settings, crashes included -- evaluated through each
-backend with cold per-process model caches, the state a fresh profiling
-campaign actually starts from.  ``repro profile`` spends essentially all
-of its time in exactly this loop, so points/second here is campaign
-throughput.
+Two figures per backend kind:
+
+- :func:`run_throughput_bench` -- one large batch: a representative
+  campaign slice (random stencils x every OC x sampled settings,
+  crashes included) evaluated in a single ``evaluate_batch`` with cold
+  per-process model caches.  This isolates per-point engine cost.
+- :func:`run_campaign_bench` -- the end-to-end figure: a real
+  :class:`~repro.profiling.CampaignRunner` campaign, so the batch shapes
+  are whatever lockstep tuning actually sends (recorded as a histogram).
+  This is the number that picks the ``repro profile`` default backend;
+  the single-batch figure alone overstates the vector backend, whose
+  fixed per-call cost only amortizes over large batches.
 
 Used by ``benchmarks/test_engine_throughput.py`` (asserts the vectorized
-speedup) and ``tools/bench_engine.py`` (writes ``BENCH_engine.json``).
+speedup and the default backend) and ``tools/bench_engine.py`` (writes
+``BENCH_engine.json``).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import platform
 import time
 
 import numpy as np
@@ -28,7 +36,14 @@ from ..optimizations.kernelmodel import (
 from ..optimizations.params import default_setting, sample_setting
 from ..stencil.generator import generate_population
 from . import make_backend
-from .core import EvalRequest
+from .core import BackendBase, EvalRequest
+
+#: The batch-size histogram's bins: (largest size in the bin, label).
+BATCH_BINS = ((1, "1"), (4, "2-4"), (16, "5-16"), (64, "17-64"), (256, "65-256"))
+
+#: GPUs of the campaign figure: one NVIDIA part and one wavefront-64 AMD
+#: part, since tuning behaves differently there.
+CAMPAIGN_GPUS = ("V100", "MI210")
 
 
 def make_workload(
@@ -62,6 +77,126 @@ def _clear_model_caches() -> None:
             clear()
 
 
+def host_record() -> dict:
+    """What a reader needs to judge a timing: the host and the method."""
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+class _BatchRecorder(BackendBase):
+    """Pass-through backend that records every batch's size."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sizes: list[int] = []
+
+    spec = property(lambda self: self.inner.spec)
+    sigma = property(lambda self: self.inner.sigma)
+    info = property(lambda self: self.inner.info)
+
+    def evaluate_batch(self, requests):
+        self.sizes.append(len(requests))
+        return self.inner.evaluate_batch(requests)
+
+
+def batch_histogram(sizes: "list[int]") -> dict:
+    """Batch counts per size bin (``"1"``, ``"2-4"``, ..., ``">256"``)."""
+    hist = dict.fromkeys([label for _, label in BATCH_BINS] + [">256"], 0)
+    for n in sizes:
+        hist[next((label for hi, label in BATCH_BINS if n <= hi), ">256")] += 1
+    return hist
+
+
+def run_campaign_bench(quick: bool = False) -> dict:
+    """End-to-end campaign measurements/second for every backend kind.
+
+    Each of ``scalar``, ``vector`` and ``cached`` runs the same
+    sequential :class:`CampaignRunner` campaign (random 2-D stencils x
+    all OCs x ``n_settings=5`` on :data:`CAMPAIGN_GPUS`) from cold model
+    caches; the figure is measurements recorded per second, best of
+    ``k`` runs interleaved across kinds.  One extra untimed pass through
+    :func:`~repro.profiling.runner.run_unit` records the engine batch
+    sizes the lockstep driver sends.  ``default`` names the backend
+    ``repro profile`` uses when none is given.  Returns a JSON-ready
+    document::
+
+        {"host", "timing", "gpus", "n_stencils", "n_settings",
+         "n_measurements", "default", "fastest",
+         "backends": {kind: {"seconds", "measurements_per_sec",
+                             "speedup_vs_scalar", "engine_batches",
+                             "batch_p50", "batch_histogram"}}}
+    """
+    from ..cli import build_parser
+    from ..gpu.faults import FaultConfig
+    from ..profiling.runner import (
+        CampaignHealth,
+        CampaignRunner,
+        RetryPolicy,
+        SimClock,
+        build_search,
+        run_unit,
+    )
+
+    gpus, kinds = CAMPAIGN_GPUS, ("scalar", "vector", "cached")
+    stencils = generate_population(2, 2 if quick else 4, seed=5)
+    n_settings, seed, reps = 5, 3, (1 if quick else 3)
+    doc: dict = {
+        "host": host_record(),
+        "timing": f"min of {reps} cold runs (time.perf_counter)",
+        "gpus": list(gpus),
+        "n_stencils": len(stencils),
+        "n_settings": n_settings,
+        "default": build_parser().parse_args(
+            ["profile", "--ndim", "2", "-o", "unused.json"]
+        ).backend,
+        "backends": {},
+    }
+    # Reps interleave the kinds, so drift in host speed hits all alike.
+    best = dict.fromkeys(kinds, math.inf)
+    for _ in range(reps):
+        for kind in kinds:
+            _clear_model_caches()
+            runner = CampaignRunner(
+                stencils, gpus=gpus, n_settings=n_settings, seed=seed,
+                backend=kind,
+            )
+            start = time.perf_counter()
+            campaign = runner.run()
+            best[kind] = min(best[kind], time.perf_counter() - start)
+    n_meas = sum(len(campaign.measurements(g)) for g in gpus)
+    doc["n_measurements"] = n_meas
+    for kind in kinds:
+        sizes: list[int] = []
+        for gpu in gpus:
+            policy, clock, health = RetryPolicy(), SimClock(), CampaignHealth()
+            search = build_search(
+                kind, gpu, 0.03, FaultConfig(), seed, n_settings, policy,
+                clock, health,
+            )
+            search.backend = recorder = _BatchRecorder(search.backend)
+            for sid, stencil in enumerate(stencils):
+                run_unit(
+                    search, gpu, stencil, sid, runner.ocs, policy, clock, health
+                )
+            sizes += recorder.sizes
+        doc["backends"][kind] = {
+            "seconds": best[kind],
+            "measurements_per_sec": n_meas / best[kind],
+            "engine_batches": len(sizes),
+            "batch_p50": float(np.median(sizes)),
+            "batch_histogram": batch_histogram(sizes),
+        }
+    rows = doc["backends"]
+    for row in rows.values():
+        row["speedup_vs_scalar"] = rows["scalar"]["seconds"] / row["seconds"]
+    doc["fastest"] = max(rows, key=lambda k: rows[k]["measurements_per_sec"])
+    return doc
+
+
 def run_throughput_bench(quick: bool = False, gpu: str = "V100") -> dict:
     """Measure evaluation throughput of every backend kind.
 
@@ -80,6 +215,8 @@ def run_throughput_bench(quick: bool = False, gpu: str = "V100") -> dict:
     )
     reps = 1 if quick else 3
     doc: dict = {
+        "host": host_record(),
+        "timing": f"min of {reps} runs (time.perf_counter)",
         "gpu": gpu,
         "n_points": len(workload),
         "quick": bool(quick),

@@ -41,8 +41,10 @@ Temporal blocking (TB)
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 
 from ..config import GRID_2D, GRID_3D
 from ..errors import KernelLaunchError, OptimizationError
@@ -96,7 +98,7 @@ def smem_plane_count(stencil: Stencil, oc: OC, setting: ParamSetting) -> int:
     return planes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelProfile:
     """Everything the timing simulator needs to know about one kernel.
 
@@ -140,7 +142,120 @@ class KernelProfile:
     points: int
 
 
-@lru_cache(maxsize=262144)
+#: ``build_profile.cache_info()``: ``lru_cache``'s fields plus the
+#: number of stencils currently holding entries.
+MemoInfo = namedtuple("MemoInfo", "hits misses maxsize currsize stencils")
+
+
+#: Stencils whose buckets the :func:`build_profile` memo keeps.
+_MEMO_STENCILS = 32
+#: Hard cap on the memo's total entry count (``lru_cache``'s old size).
+_MEMO_ENTRIES = 262144
+
+
+class _Failure:
+    """A memoized deterministic failure: re-raised as a fresh exception."""
+
+    __slots__ = ("cls", "args")
+
+    def __init__(self, error: Exception):
+        self.cls, self.args = type(error), error.args
+
+    def exception(self) -> Exception:
+        return self.cls(*self.args)
+
+
+class StencilScopedMemo:
+    """The memo behind :func:`build_profile`, bucketed per stencil.
+
+    Each bucket is keyed by the :class:`Stencil` exactly as
+    ``functools.lru_cache`` would key it (stencil equality: dimension and
+    offsets) and maps ``(oc, setting tuple, grid, warp_size)`` to the
+    profile.  :class:`ParamSetting` hashes and compares by its layout
+    tuple, so keying by the tuple changes no lookup, and the memo does
+    not keep the caller's setting object alive.
+
+    Only the :data:`_MEMO_STENCILS` most recently used stencils keep
+    their buckets, and :data:`_MEMO_ENTRIES` caps the total entry count;
+    eviction drops whole least-recently-used buckets.  A campaign works through
+    stencils one at a time, so this keeps the memo (and the process's
+    memory) bounded however long the campaign runs, while a repeated
+    campaign over a few dozen stencils replays entirely from it.
+
+    Deterministic failures (:class:`KernelLaunchError`,
+    :class:`OptimizationError`) are memoized too and re-raised as fresh
+    exceptions of the same type and message; anything else propagates
+    unmemoized.
+    """
+
+    def __init__(self, fn):
+        update_wrapper(self, fn)
+        self._fn = fn
+        self._buckets: "OrderedDict[Stencil, dict]" = OrderedDict()
+        self._size = 0
+        self._hits = 0
+        self._misses = 0
+        self._lock = threading.Lock()
+
+    def __call__(
+        self,
+        stencil: Stencil,
+        oc: OC,
+        setting: ParamSetting,
+        grid: "tuple[int, ...] | None" = None,
+        warp_size: int = 32,
+    ) -> "KernelProfile":
+        key = (oc, setting.as_tuple(), grid, warp_size)
+        with self._lock:
+            bucket = self._buckets.get(stencil)
+            if bucket is not None:
+                self._buckets.move_to_end(stencil)
+                value = bucket.get(key)
+                if value is not None:
+                    self._hits += 1
+                    if value.__class__ is _Failure:
+                        raise value.exception()
+                    return value
+            self._misses += 1
+        try:
+            value = self._fn(stencil, oc, setting, grid, warp_size)
+        except (KernelLaunchError, OptimizationError) as e:
+            self._store(stencil, key, _Failure(e))
+            raise
+        self._store(stencil, key, value)
+        return value
+
+    def _store(self, stencil: Stencil, key: tuple, value) -> None:
+        with self._lock:
+            bucket = self._buckets.get(stencil)
+            if bucket is None:
+                bucket = self._buckets[stencil] = {}
+            else:
+                self._buckets.move_to_end(stencil)
+            if key not in bucket:
+                bucket[key] = value
+                self._size += 1
+            while (
+                len(self._buckets) > _MEMO_STENCILS
+                or self._size > _MEMO_ENTRIES
+            ):
+                _, old = self._buckets.popitem(last=False)
+                self._size -= len(old)
+
+    def cache_info(self) -> MemoInfo:
+        with self._lock:
+            return MemoInfo(
+                self._hits, self._misses, _MEMO_ENTRIES, self._size,
+                len(self._buckets),
+            )
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._buckets.clear()
+            self._size = self._hits = self._misses = 0
+
+
+@StencilScopedMemo
 def build_profile(
     stencil: Stencil,
     oc: OC,
@@ -155,7 +270,9 @@ def build_profile(
     same (stencil, OC, setting) triples on each architecture and pays
     the characterization cost once per ``warp_size`` (32 for every
     NVIDIA device, 64 for AMD wavefronts -- the width only affects the
-    coalescing estimate).
+    coalescing estimate).  The memo is stencil-scoped (see
+    :class:`StencilScopedMemo`): it keeps the 32 most recently used
+    stencils' entries.
 
     Raises
     ------

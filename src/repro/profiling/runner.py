@@ -9,14 +9,16 @@ rather than aborting the run, progress is checkpointed atomically, and an
 interrupted campaign resumes from its checkpoint to the bit-identical
 result an uninterrupted run would have produced.
 
-Execution is organised as **work units** of one stencil on one GPU, each
-unit tuned OC by OC.  The per-(stencil, OC) sampling streams are derived
-from the seed independent of order (see
+Execution is organised as **work units** of one stencil on one GPU.  A
+unit's OCs are tuned together in lockstep: all cells' frontiers merge
+per round into one engine batch (see :func:`repro.tuning.tune_many`).
+The per-(stencil, OC) sampling streams are derived from the seed
+independent of order (see
 :class:`~repro.profiling.search.RandomSearch`), and fault draws are
 scoped per unit (see :meth:`~repro.gpu.faults.FaultInjector.begin_unit`),
-so units are self-contained: a tuning point re-run from scratch -- after
-a device loss, or in a resumed process -- converges to exactly the
-timings the fault-free campaign records.  That is what makes the
+so units are self-contained: a tuning round re-submitted after a device
+loss, or a unit re-run from scratch in a resumed process, converges to
+exactly the timings the fault-free campaign records.  That is what makes the
 determinism and kill--resume equivalence properties testable instead of
 hopeful.
 
@@ -74,9 +76,10 @@ class RetryPolicy:
 
     Per-call retries absorb :class:`MeasurementTimeout`,
     :class:`TransientMeasurementError` and corrupted-sample rejections;
-    point retries re-run a whole (stencil, OC) tuning point after a
+    point retries re-submit a unit's lockstep tuning round after a
     :class:`DeviceLostError` (which voids all in-flight measurements) or
-    after a call exhausted its per-call budget.  Backoff doubles from
+    after a call exhausted its per-call budget, up to
+    ``max_point_retries`` times per round.  Backoff doubles from
     ``backoff_base_s`` up to ``backoff_max_s`` on the simulated clock.
     """
 
@@ -211,17 +214,20 @@ def run_unit(
     clock: SimClock,
     health: CampaignHealth,
 ) -> StencilProfile:
-    """One (gpu, stencil) work unit, tuned OC by OC with retries.
+    """One (gpu, stencil) work unit: every OC tuned in lockstep, with retries.
 
-    A :class:`DeviceLostError` (or a call that exhausted its per-call
-    budget) voids the in-flight (stencil, OC) tuning point; the point
-    re-runs from scratch after a backoff -- its sampling stream is
-    re-derived from the seed, and the fault injector's advanced attempt
-    counters make the retry draw fresh fault decisions, so a recovered
-    point yields exactly the fault-free measurements.  A point that
-    keeps failing is quarantined and recorded as crashed (no
-    :class:`OCResult`, the same shape an all-crashing OC already
-    produces), never aborting the campaign.
+    All OCs go through one :meth:`RandomSearch.tune_ocs` call, so each
+    engine batch carries every unfinished OC's frontier.  A
+    :class:`DeviceLostError` (or a call that exhausted its per-call
+    budget) voids that round's batch; no OC has seen any of it, so the
+    round is re-submitted after a backoff, and the fault injector's
+    advanced attempt counters make the retry draw fresh fault decisions.
+    A recovered round yields exactly the fault-free measurements.  Each
+    round has its own retry count and backoff schedule.  A round that
+    keeps failing has every (stencil, OC) tuning point with measurements
+    in it quarantined and recorded as crashed (no :class:`OCResult`, the
+    same shape an all-crashing OC already produces), never aborting the
+    campaign; quarantine records are appended in OC order.
 
     Shared verbatim by the sequential runner and shard workers: both
     call this function, so the parallel campaign is the sequential
@@ -230,33 +236,35 @@ def run_unit(
     begin_unit = getattr(search.backend, "begin_unit", None)
     if begin_unit is not None:
         begin_unit((gpu, sid))
+    quarantined: dict[int, dict] = {}
+    delay = policy.backoff_base_s
+
+    def on_fault(cells: list, error: TransientError, attempt: int) -> bool:
+        nonlocal delay
+        if attempt == policy.max_point_retries:
+            for i in cells:
+                quarantined[i] = {
+                    "gpu": gpu,
+                    "stencil_id": sid,
+                    "oc": ocs[i].name,
+                    "reason": str(error),
+                }
+            return False
+        if attempt == 0:
+            delay = policy.backoff_base_s
+        health.point_retries += 1
+        clock.sleep(delay)
+        health.backoff_s += delay
+        delay = min(delay * policy.backoff_factor, policy.backoff_max_s)
+        return True
+
     profile = StencilProfile(stencil=stencil, stencil_id=sid, gpu=gpu)
-    for oc in ocs:
-        delay = policy.backoff_base_s
-        for attempt in range(policy.max_point_retries + 1):
-            try:
-                result, ms = search.tune_oc(stencil, sid, oc)
-            except TransientError as e:
-                if attempt == policy.max_point_retries:
-                    health.quarantined.append(
-                        {
-                            "gpu": gpu,
-                            "stencil_id": sid,
-                            "oc": oc.name,
-                            "reason": str(e),
-                        }
-                    )
-                    break
-                health.point_retries += 1
-                clock.sleep(delay)
-                health.backoff_s += delay
-                delay = min(delay * policy.backoff_factor,
-                            policy.backoff_max_s)
-            else:
-                if result is not None:
-                    profile.oc_results[oc.name] = result
-                    profile.measurements.extend(ms)
-                break
+    tuned = search.tune_ocs(stencil, sid, ocs, on_fault=on_fault)
+    for oc, (result, ms) in zip(ocs, tuned):
+        if result is not None:
+            profile.oc_results[oc.name] = result
+            profile.measurements.extend(ms)
+    health.quarantined.extend(quarantined[i] for i in sorted(quarantined))
     return profile
 
 

@@ -12,11 +12,13 @@ Since the unified front door landed, this module is a *compatibility
 wrapper*: the actual search lives in
 :class:`repro.tuning.RandomStrategy` (a bit-identical port of the walk +
 coordinate-refinement tuner this module used to implement) and runs
-through :func:`repro.tuning.tune`, which owns backend resolution, the
-ask/evaluate/tell loop and result packaging.  ``RandomSearch`` keeps the
-historical surface -- ``tune_oc`` returning ``(OCResult, measurements)``
-and ``profile_stencil`` -- that the campaign runner, baselines and
-framework still speak.
+through :func:`repro.tuning.tune_many`, which owns backend resolution,
+the ask/evaluate/tell loop and result packaging.  ``RandomSearch`` keeps
+the historical surface -- ``tune_oc`` returning ``(OCResult,
+measurements)`` and ``profile_stencil`` -- and adds ``tune_ocs``, the
+all-OC case that the campaign runner, baselines and framework use: it
+tunes every OC of a stencil in lockstep, so their frontiers share
+engine batches.
 
 **RNG stream-key convention.**  Each (stencil, OC) tuning batch owns one
 independent random stream, derived as::
@@ -88,6 +90,66 @@ class RandomSearch:
         self.seed = int(seed)
         self.refine = bool(refine)
 
+    def tune_ocs(
+        self,
+        stencil: Stencil,
+        stencil_id: int,
+        ocs: "tuple[OC, ...] | list[OC]",
+        on_fault=None,
+    ) -> "list[tuple[OCResult | None, list[Measurement]]]":
+        """Tune every OC in *ocs* in lockstep; one ``tune_oc`` pair per OC.
+
+        All OCs' frontiers share each engine batch (see
+        :func:`repro.tuning.tune_many`), and every pair equals what
+        :meth:`tune_oc` returns for that OC alone.  ``on_fault`` is
+        forwarded to ``tune_many``; an OC whose round it gives up reports
+        ``(None, [])``, the shape of an OC whose every setting crashed.
+        """
+        from ..tuning import TuneCell, tune_many
+
+        options = dict(
+            n_settings=self.n_settings,
+            refine=self.refine,
+            attempts_per_setting=_ATTEMPTS_PER_SETTING,
+            refine_passes=_REFINE_PASSES,
+        )
+        results = tune_many(
+            [
+                TuneCell(
+                    stencil, oc, strategy="random", options=options,
+                    seed=self.seed, stencil_id=stencil_id,
+                )
+                for oc in ocs
+            ],
+            backend=self.backend,
+            on_fault=on_fault,
+        )
+        gpu_name = self.backend.spec.name
+        out: "list[tuple[OCResult | None, list[Measurement]]]" = []
+        for oc, result in zip(ocs, results):
+            if result is None or not result.ok:
+                out.append((None, []))
+                continue
+            measurements = [
+                Measurement(
+                    stencil_id=stencil_id,
+                    oc=oc.name,
+                    setting=setting,
+                    gpu=gpu_name,
+                    time_ms=time_ms,
+                )
+                for setting, time_ms in result.extras["measurements"]
+            ]
+            oc_result = OCResult(
+                oc=oc.name,
+                best_setting=result.best_setting,
+                best_time_ms=result.best_time_ms,
+                n_settings=len(measurements),
+                crashed=result.extras["walk_crashed"],
+            )
+            out.append((oc_result, measurements))
+        return out
+
     def tune_oc(
         self, stencil: Stencil, stencil_id: int, oc: OC
     ) -> "tuple[OCResult | None, list[Measurement]]":
@@ -95,43 +157,7 @@ class RandomSearch:
 
         Returns ``(None, [])`` when every attempted setting crashes.
         """
-        from ..tuning import RandomStrategy, tune
-
-        strategy = RandomStrategy(
-            n_settings=self.n_settings,
-            refine=self.refine,
-            attempts_per_setting=_ATTEMPTS_PER_SETTING,
-            refine_passes=_REFINE_PASSES,
-        )
-        result = tune(
-            stencil,
-            oc=oc,
-            backend=self.backend,
-            strategy=strategy,
-            seed=self.seed,
-            stencil_id=stencil_id,
-        )
-        if not result.ok:
-            return None, []
-        gpu_name = self.backend.spec.name
-        measurements = [
-            Measurement(
-                stencil_id=stencil_id,
-                oc=oc.name,
-                setting=setting,
-                gpu=gpu_name,
-                time_ms=time_ms,
-            )
-            for setting, time_ms in strategy.measurements
-        ]
-        oc_result = OCResult(
-            oc=oc.name,
-            best_setting=result.best_setting,
-            best_time_ms=result.best_time_ms,
-            n_settings=len(measurements),
-            crashed=strategy.walk_crashed,
-        )
-        return oc_result, measurements
+        return self.tune_ocs(stencil, stencil_id, (oc,))[0]
 
     # ------------------------------------------------------------------
     def profile_stencil(
@@ -144,8 +170,7 @@ class RandomSearch:
         profile = StencilProfile(
             stencil=stencil, stencil_id=stencil_id, gpu=self.backend.spec.name
         )
-        for oc in ocs:
-            result, ms = self.tune_oc(stencil, stencil_id, oc)
+        for oc, (result, ms) in zip(ocs, self.tune_ocs(stencil, stencil_id, ocs)):
             if result is not None:
                 profile.oc_results[oc.name] = result
                 profile.measurements.extend(ms)

@@ -1,17 +1,18 @@
 """Unified autotuning: one front door, a strategy zoo, a persistent cache.
 
 :func:`tune` is the single entry point every parameter search goes
-through -- the paper's random walk + coordinate refinement, the
-csTuner-style genetic algorithm, simulated annealing, GBDT-surrogate
-Bayesian optimization, and reduced-grid successive halving are all
-:class:`Strategy` implementations driven by the same ask/evaluate/tell
-loop over the batched :mod:`repro.engine` backends.  See
+through, and :func:`tune_many` runs many cells of it in lockstep.  The
+paper's random walk + coordinate refinement, the csTuner-style genetic
+algorithm, simulated annealing, GBDT-surrogate Bayesian optimization,
+and reduced-grid successive halving are all :class:`Strategy`
+implementations driven by the same ask/evaluate/tell loop over the
+batched :mod:`repro.engine` backends.  See
 ``docs/tuning.md`` for the strategy zoo, the restriction grammar, cache
 semantics and budget accounting.
 """
 
 from .anneal import AnnealingStrategy
-from .api import tune
+from .api import TuneCell, tune, tune_many
 from .bayes import BayesStrategy
 from .cache import TuningCache
 from .genetic import GAResult, GeneticSearch, GeneticStrategy
@@ -48,6 +49,7 @@ __all__ = [
     "StrategyContext",
     "StrategyOutcome",
     "TrialRecord",
+    "TuneCell",
     "TuneResult",
     "TuningCache",
     "available_strategies",
@@ -57,4 +59,5 @@ __all__ = [
     "stream_key",
     "stream_rng",
     "tune",
+    "tune_many",
 ]

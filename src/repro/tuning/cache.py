@@ -55,6 +55,9 @@ class TuningCache(BackendBase):
         self.root.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        #: Per-request hit flags of the latest ``evaluate_batch`` call,
+        #: which lets a lockstep driver attribute hits to its cells.
+        self.last_hits: list[bool] = []
         # group key -> {"path": Path, "entries": dict, "dirty": bool}
         self._groups: dict[tuple, dict] = {}
 
@@ -151,6 +154,7 @@ class TuningCache(BackendBase):
     # -- evaluation ---------------------------------------------------
     def evaluate_batch(self, requests: Sequence[EvalRequest]) -> list[EvalResult]:
         out: list[EvalResult | None] = [None] * len(requests)
+        hit = [True] * len(requests)
         miss_requests: list[EvalRequest] = []
         miss_slots: list[int] = []
         miss_pending: dict[tuple, int] = {}
@@ -181,6 +185,7 @@ class TuningCache(BackendBase):
             miss_pending[pending] = len(miss_requests)
             miss_requests.append(r)
             miss_slots.append(i)
+            hit[i] = False
         self.misses += len(miss_requests)
         if miss_requests:
             results = self.inner.evaluate_batch(miss_requests)
@@ -197,4 +202,5 @@ class TuningCache(BackendBase):
                 group["dirty"] = True
             for i, pos in dupes:
                 out[i] = results[pos]
+        self.last_hits = hit
         return out  # type: ignore[return-value]

@@ -118,6 +118,14 @@ class RandomStrategy(GeneratorStrategy):
         # depend on this exact key (see the module docstring).
         return (seed, stencil_id, oc.name)
 
+    def finish(self):
+        # The campaign's record of this cell travels in the result, so a
+        # caller that passed a strategy name needs no handle on the
+        # instance.
+        self._extras["walk_crashed"] = self.walk_crashed
+        self._extras["measurements"] = tuple(self.measurements)
+        return super().finish()
+
     def _chunk_size(self, need: int) -> int:
         """Settings per engine call while ``need`` are missing.
 

@@ -1,10 +1,10 @@
 """The Strategy protocol: ask/tell search over a ParameterSpace.
 
 A strategy never measures anything itself.  It *asks* for a batch of
-settings, the :func:`repro.tuning.tune` driver evaluates the batch on
-the configured :class:`~repro.engine.Backend` (whole frontiers at a
-time, so vectorized and cached backends amortize), and *tells* the
-strategy the outcomes.  Crashes arrive as data
+settings, the :func:`repro.tuning.tune_many` driver evaluates it on the
+configured :class:`~repro.engine.Backend` (all cells' frontiers merge
+per round into one batch, so vectorized and cached backends amortize),
+and *tells* the strategy the outcomes.  Crashes arrive as data
 (:class:`~repro.engine.EvalResult` with ``crashed=True``), exactly as
 the engine delivers them; each strategy decides what a crash means for
 its search (skip, score ``inf``, reject the move...).
@@ -48,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StrategyContext:
-    """Everything a strategy may condition on, fixed for one tune() call."""
+    """Everything a strategy may condition on, fixed for one tuning cell."""
 
     stencil: "Stencil"
     stencil_id: int

@@ -1,11 +1,12 @@
 """Engine throughput recorder (developer / CI tool).
 
 Measures points/second through every backend kind on the representative
-campaign slice (see ``repro.engine.bench``), sweeps worker counts for
-the parallel backend and the sharded campaign runner, and writes the
-results as JSON -- ``BENCH_engine.json`` and ``BENCH_parallel.json`` at
-the repo root by convention, so the perf trajectory of the hot path is
-machine-readable across PRs.
+campaign slice, and end-to-end campaign measurements/second per backend
+kind with the engine batch-size histogram (see ``repro.engine.bench``);
+sweeps worker counts for the parallel backend and the sharded campaign
+runner; and writes the results as JSON -- ``BENCH_engine.json`` and
+``BENCH_parallel.json`` at the repo root by convention, so the perf
+trajectory of the hot path is machine-readable across PRs.
 
 Run: python tools/bench_engine.py [--quick] [--gpu NAME] [-o PATH]
          [--parallel-output PATH] [--skip-parallel] [--context CTX]
@@ -15,7 +16,11 @@ import argparse
 import json
 import sys
 
-from repro.engine.bench import run_parallel_bench, run_throughput_bench
+from repro.engine.bench import (
+    run_campaign_bench,
+    run_parallel_bench,
+    run_throughput_bench,
+)
 
 
 def main(argv=None) -> int:
@@ -51,6 +56,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     doc = run_throughput_bench(quick=args.quick, gpu=args.gpu)
+    doc["campaign"] = run_campaign_bench(quick=args.quick)
     with open(args.output, "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
@@ -66,6 +72,18 @@ def main(argv=None) -> int:
         f"  {'replay':8s} {replay['points_per_sec']:12,.0f} points/sec "
         f"({replay['speedup_vs_scalar']:.2f}x scalar)"
     )
+    camp = doc["campaign"]
+    print(
+        f"campaign ({'+'.join(camp['gpus'])}, {camp['n_stencils']} stencils x "
+        f"all OCs, {camp['n_measurements']} measurements, {camp['timing']})"
+    )
+    for kind, row in camp["backends"].items():
+        print(
+            f"  {kind:8s} {row['measurements_per_sec']:12,.0f} measurements/sec "
+            f"({row['speedup_vs_scalar']:.2f}x scalar, batch p50 "
+            f"{row['batch_p50']:g}, {row['engine_batches']} batches)"
+        )
+    print(f"  default {camp['default']}, fastest {camp['fastest']}")
     print(f"wrote {args.output}")
     if args.skip_parallel:
         return 0
