@@ -127,10 +127,13 @@ def run_selection_bench(train, test, seed: int = 29, quick: bool = False) -> dic
         "analytical": {}, "heuristic-ladder": {}, "gbdt": {},
     }
     wall = {"analytical": 0.0, "heuristic-ladder": 0.0, "gbdt": 0.0}
+    select_s: list[float] = []  # the first select of each (stencil, GPU)
     for gpu in test.gpus:
-        t0 = time.perf_counter()
-        ana_picks = analytical.select_many(test.stencils, gpu)
-        wall["analytical"] += time.perf_counter() - t0
+        ana_picks = []
+        for s in test.stencils:
+            t0 = time.perf_counter()
+            ana_picks.append(analytical.select(s, gpu))
+            select_s.append(time.perf_counter() - t0)
 
         t0 = time.perf_counter()
         heur_picks = [heuristic.select(s, gpu) for s in test.stencils]
@@ -150,6 +153,7 @@ def run_selection_bench(train, test, seed: int = 29, quick: bool = False) -> dic
             ("gbdt", gbdt_picks),
         ):
             per_selector[name][gpu] = _score_picks(test, gpu, picks)
+    wall["analytical"] = sum(select_s)
 
     out = {"gpus": list(test.gpus), "n_test_stencils": len(test.stencils),
            "ocs": list(_bench_ocs()), "regret_threshold": REGRET, "selectors": {}}
@@ -165,6 +169,7 @@ def run_selection_bench(train, test, seed: int = 29, quick: bool = False) -> dic
             ),
             "wall_s": wall[name],
         }
+    out["selectors"]["analytical"]["select_p50_s"] = float(np.median(select_s))
     return out
 
 
@@ -243,10 +248,17 @@ def run_regression_bench(train, test, seed: int = 29) -> dict:
 
 def run_analytical_bench(quick: bool = False, seed: int = 29) -> dict:
     """Full document: shared campaigns, selection + regression sections."""
+    from ..engine.bench import host_record
+
     train, test = make_campaigns(quick=quick, seed=seed)
     return {
         "quick": quick,
         "seed": seed,
+        "host": host_record(),
+        "timing": "perf_counter wall time, one run. wall_s: each selector's "
+        "pass over every (stencil, GPU); select_p50_s: median analytical "
+        "select over (stencil, GPU), each the selector's first for that "
+        "pair (kernel metrics extracted for an earlier GPU are reused)",
         "shape": _bench_shape(quick),
         "selection": run_selection_bench(train, test, seed=seed, quick=quick),
         "regression": run_regression_bench(train, test, seed=seed),

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..errors import ReproError
 
@@ -242,8 +243,21 @@ class _Parser:
         raise ExprError(f"unexpected token {tok!r} in {self.source!r}")
 
 
+#: Distinct expression texts kept parsed.  A generated sweep repeats a
+#: few hundred texts tens of thousands of times (every setting of a
+#: kernel re-emits the same index arithmetic), so this never evicts on
+#: one stencil's worth of estimates.
+EXPR_CACHE_SIZE = 8192
+
+
+@lru_cache(maxsize=EXPR_CACHE_SIZE)
 def parse_expr(text: str):
-    """Parse one C expression into the analyzer AST."""
+    """Parse one C expression into the analyzer AST.
+
+    Memoized by text: the AST nodes are frozen, so every caller may share
+    one tree.  A text that fails raises :class:`ExprError` afresh on every
+    call (``lru_cache`` never stores exceptions).
+    """
     return _Parser(tokenize(text), text).parse()
 
 

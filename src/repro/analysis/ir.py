@@ -17,12 +17,20 @@ semicolons so fused lines like ``acc += partial; partial = 0.0;`` parse
 as two statements.  Unknown constructs raise :class:`ParseError` with
 the offending line rather than mis-filing silently: the IR is a
 correctness tool, and a parser that guesses would launder real drift.
+
+The IR is read-only for every consumer.  Expression ASTs are memoized
+by text (:func:`repro.analysis.expr.parse_expr`) and kernel/host IR by
+macro-free body, so units that differ only in ``#define`` values hold
+the *same* :class:`Kernel` and :class:`Host` objects: a pass that
+mutated one would corrupt every unit sharing it.  Errors are never
+cached; a malformed source raises on every parse.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..errors import ReproError
 from . import expr as E
@@ -161,6 +169,8 @@ _LINE_COMMENT_RE = re.compile(r"//.*$")
 
 
 def strip_comments(line: str) -> str:
+    if "/" not in line:  # no comment can start: skip both regexes
+        return line.strip()
     return _LINE_COMMENT_RE.sub("", _BLOCK_COMMENT_RE.sub("", line)).strip()
 
 
@@ -330,7 +340,7 @@ def _parse_block(lines, i):
     raise ParseError("unterminated block (missing '}')")
 
 
-def _parse_host(lines, i, macros) -> tuple[Host, int]:
+def _parse_host(lines, i) -> tuple[Host, int]:
     start = lines[i][0]
     block_dims: tuple = (E.Num(1), E.Num(1), E.Num(1))
     grid_dims: tuple = (E.Num(1), E.Num(1), E.Num(1))
@@ -380,21 +390,15 @@ _META_RE = re.compile(
 )
 
 
-def parse_unit(source: str) -> TranslationUnit:
-    """Parse a generated translation unit (or bare kernel) into IR."""
+def _sweep_macros(raw: list[str], stripped: list[str]) -> tuple[dict, dict, dict]:
+    """Macros (ASTs and resolved values) and header metadata, in order."""
     macro_asts: dict[str, object] = {}
     macros: dict[str, float] = {}
     meta: dict[str, str] = {}
-    kernels: list[Kernel] = []
-    host: Host | None = None
-
-    raw = source.splitlines()
-    # First sweep: macros and header metadata (comments carry provenance).
-    for lineno, line in enumerate(raw, 1):
+    for line, text in zip(raw, stripped):
         mm = _META_RE.search(line)
         if mm is not None:
             meta[mm.group(1)] = mm.group(2).strip()
-        text = strip_comments(line)
         m = _DEFINE_RE.match(text)
         if m is not None:
             try:
@@ -405,10 +409,26 @@ def parse_unit(source: str) -> TranslationUnit:
             value = E.eval_const(ast, macros)
             if value is not None:
                 macros[m.group(1)] = value
+    return macros, macro_asts, meta
 
-    # Second sweep: kernels and the host launcher.
-    lines = [(n, strip_comments(line)) for n, line in enumerate(raw, 1)]
-    lines = [(n, t) for n, t in lines if t and not t.startswith(("#include", "#define"))]
+
+#: Distinct macro-free bodies kept parsed.  The settings of one
+#: (stencil, OC) pair differ almost only in ``#define`` lines, so a
+#: selector's static autotuning of one 2-D stencil touches about a dozen.
+BODY_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=BODY_CACHE_SIZE)
+def _parse_body(lines: tuple) -> tuple[tuple[Kernel, ...], Host | None]:
+    """Kernels and host launcher of the filtered ``(lineno, text)`` lines.
+
+    Memoized on the lines themselves: they exclude ``#define`` lines, so
+    units whose bodies match share these objects whatever their macro
+    values, and line numbers are part of the key, so every statement
+    keeps its own source line.  A failing body raises afresh each call.
+    """
+    kernels: list[Kernel] = []
+    host: Host | None = None
     i = 0
     while i < len(lines):
         lineno, text = lines[i]
@@ -428,15 +448,34 @@ def parse_unit(source: str) -> TranslationUnit:
             kernels.append(Kernel(name=m.group(1), params=params, body=body, line=lineno))
             continue
         if _HOST_RE.match(text):
-            host, i = _parse_host(lines, i, macros)
+            host, i = _parse_host(lines, i)
             continue
         i += 1
+    return tuple(kernels), host
 
+
+def parse_unit(source: str) -> TranslationUnit:
+    """Parse a generated translation unit (or bare kernel) into IR.
+
+    Two sweeps: macros and header metadata are read per unit, while the
+    kernels and host launcher come from :func:`_parse_body`, so units
+    that differ only in ``#define`` values share one body IR.  Every
+    consumer treats the IR as read-only; sharing relies on it.
+    """
+    raw = source.splitlines()
+    stripped = [strip_comments(line) for line in raw]
+    macros, macro_asts, meta = _sweep_macros(raw, stripped)
+    lines = tuple(
+        (n, t)
+        for n, t in enumerate(stripped, 1)
+        if t and not t.startswith(("#include", "#define"))
+    )
+    kernels, host = _parse_body(lines)
     return TranslationUnit(
         source=source,
         macros=macros,
         macro_asts=macro_asts,
-        kernels=kernels,
+        kernels=list(kernels),
         host=host,
         meta=meta,
     )

@@ -880,15 +880,10 @@ def estimate_source(source: "str | ir.TranslationUnit", gpu: str) -> PerfEstimat
 
 
 @lru_cache(maxsize=65536)
-def _generate(stencil, oc, setting, grid):
+def _metrics_for(stencil, oc, setting, grid) -> KernelMetrics:
     from ..codegen import generate_cuda
 
-    return generate_cuda(stencil, oc, setting, grid=grid)
-
-
-@lru_cache(maxsize=65536)
-def _metrics_for(stencil, oc, setting, grid) -> KernelMetrics:
-    return extract_metrics(_generate(stencil, oc, setting, grid))
+    return extract_metrics(generate_cuda(stencil, oc, setting, grid=grid))
 
 
 def estimate_kernel(

@@ -18,13 +18,14 @@ artifacts like any trained model.
   static estimates, and the cheapest tuned optimum wins.  A far smarter
   zero-artifact fallback than the fixed heuristic ladder, at the cost
   of a fraction of a second of static analysis per (stencil, GPU) pair
-  (memoized thereafter).
+  (memoized thereafter in an LRU of :data:`MEMO_CAPACITY` pairs).
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ DEFAULT_CANDIDATES = (
     "CM",
     "TB",
 )
+
+#: Most recently used (stencil, GPU) picks a selector keeps.  A serving
+#: process answers arbitrary client stencils, so the memo is an LRU: an
+#: evicted pick is simply re-tuned (deterministically) on its next ask.
+MEMO_CAPACITY = 1024
 
 
 def _estimate_ms(stencil, oc, setting, gpu, grid=None) -> float:
@@ -138,7 +144,7 @@ class AnalyticalSelector:
         self.seed = int(seed)
         self.grid = tuple(grid) if grid else None
         self.refine = bool(refine)
-        self._memo: dict[tuple, AnalyticalRecommendation] = {}
+        self._memo: "OrderedDict[tuple, AnalyticalRecommendation]" = OrderedDict()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -154,11 +160,15 @@ class AnalyticalSelector:
         key = (stencil.cache_key(), gpu)
         with self._lock:
             cached = self._memo.get(key)
-        if cached is not None:
-            return cached
+            if cached is not None:
+                self._memo.move_to_end(key)
+                return cached
         rec = self._recommend_uncached(stencil, gpu)
         with self._lock:
             self._memo[key] = rec
+            self._memo.move_to_end(key)
+            while len(self._memo) > MEMO_CAPACITY:
+                self._memo.popitem(last=False)
         return rec
 
     def _recommend_uncached(self, stencil, gpu: str) -> AnalyticalRecommendation:

@@ -18,6 +18,7 @@ from repro.ml import (
     model_from_state,
     model_state,
 )
+from repro.ml import analytical
 from repro.ml.analytical import DEFAULT_CANDIDATES
 from repro.optimizations.combos import OC
 from repro.stencil import get
@@ -77,6 +78,32 @@ class TestSelector:
         assert a.select(s, "A100") == first  # memo path
         assert b.select(s, "A100") == first  # fresh instance agrees
         assert a._memo  # the memo actually filled
+
+    def test_memo_is_a_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(analytical, "MEMO_CAPACITY", 2)
+        sel = AnalyticalSelector(candidates=("naive", "ST"), n_settings=1)
+        computed = []
+        uncached = sel._recommend_uncached
+
+        def counting(stencil, gpu):
+            computed.append(stencil.name)
+            return uncached(stencil, gpu)
+
+        monkeypatch.setattr(sel, "_recommend_uncached", counting)
+        a, b, c = (get(n) for n in ("star2d1r", "box2d1r", "star2d2r"))
+        first = sel.recommend(a, "V100")
+        sel.recommend(b, "V100")
+        sel.recommend(c, "V100")
+        assert list(sel._memo) == [(b.cache_key(), "V100"), (c.cache_key(), "V100")]
+        # The evicted oldest pick is recomputed, to the same answer.
+        assert sel.recommend(a, "V100") == first
+        assert computed == ["star2d1r", "box2d1r", "star2d2r", "star2d1r"]
+        # A hit refreshes recency: touching c leaves a as the oldest, so
+        # a (not c) makes room when b returns.
+        sel.recommend(c, "V100")
+        sel.recommend(b, "V100")
+        assert computed[-1] == "box2d1r"
+        assert list(sel._memo) == [(c.cache_key(), "V100"), (b.cache_key(), "V100")]
 
     def test_select_many_matches_select(self):
         sel = AnalyticalSelector(n_settings=1)

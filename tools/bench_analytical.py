@@ -8,7 +8,9 @@ Runs the selection and regression benches of
   the heuristic ladder and the trained GBDT selector;
 - held-out runtime fidelity (PCC / log-PCC / MAPE) of the plain GBDT
   regressor, the hybrid regressor (GBDT + analytical metric columns)
-  and the raw static estimate.
+  and the raw static estimate;
+- the host record and the analytical selector's cost: total ``wall_s``
+  per selector and the median cold select per (stencil, GPU).
 
 Both sections are written as one JSON document --
 ``BENCH_analytical.json`` at the repo root by convention, so the
@@ -57,6 +59,10 @@ def main(argv=None) -> int:
             f"geomean {row['geomean_slowdown']:.4f}x  "
             f"({row['wall_s']:.2f}s)"
         )
+    print(
+        "  analytical select p50 "
+        f"{sel['selectors']['analytical']['select_p50_s']:.3f}s per (stencil, GPU)"
+    )
 
     reg = doc["regression"]
     print("regression (held-out runtime fidelity)")
